@@ -20,9 +20,9 @@ import (
 //     reproducibility hook — CI pins it so bench baselines compare
 //     like-for-like across runs and shape changes never masquerade as
 //     kernel regressions.
-//  2. Otherwise a micro-measurement sweeps tileBudgetGrid with the exact
-//     row kernel on synthetic data (~a few ms total) and keeps the
-//     fastest budget, in the spirit of core.AutoTuneExact.
+//  2. Otherwise a micro-measurement sweeps tileBudgetGrid with the
+//     exact-grade Kernel.Tile on synthetic data (~a few ms total) and
+//     keeps the fastest budget, in the spirit of core.AutoTuneExact.
 //
 // The resolved budget is cached for the life of the process. Tests and
 // harnesses can override it with SetTileBudget; TileBudget reports the
@@ -133,10 +133,10 @@ func clampTileBudget(b int) int {
 	return b
 }
 
-// measureTileBudget times a consumer-style tiled sweep of the exact row
-// kernel over synthetic data for each candidate budget and returns the
-// fastest. Runs once per process (~a few ms); min-of-reps guards against
-// scheduler noise.
+// measureTileBudget times a consumer-style tiled sweep of the exact-grade
+// Kernel.Tile — the kernel the searches run — over synthetic data for
+// each candidate budget and returns the fastest. Runs once per process
+// (~a few ms); min-of-reps guards against scheduler noise.
 func measureTileBudget() int {
 	const (
 		dim  = 64
@@ -146,33 +146,23 @@ func measureTileBudget() int {
 	)
 	qflat := syntheticF32(nq * dim)
 	pflat := syntheticF32(np * dim)
-	var wq, wp, out []float64
+	k := NewKernel(Euclidean{})
+	ts := GetTileScratch()
+	defer PutTileScratch(ts)
+	var out []float64
 
 	best, bestNS := defaultTileBudget, int64(1<<62)
 	for _, budget := range tileBudgetGrid {
 		tq, tp := shapeForBudget(budget, dim)
-		wq = growF64(wq, tq*dim)
-		wp = growF64(wp, tp*dim)
 		out = growF64(out, tq*tp)
 		minNS := int64(1 << 62)
 		for r := 0; r < reps; r++ {
 			start := time.Now()
-			// Mirror the consumer loop: widen each tile into scratch,
-			// then run the exact diff tile — per-shape widening cost is
-			// part of what the budget trades off.
 			for q0 := 0; q0 < nq; q0 += tq {
-				q1 := q0 + tq
-				if q1 > nq {
-					q1 = nq
-				}
-				widen(qflat[q0*dim:q1*dim], wq[:(q1-q0)*dim])
+				q1 := min(q0+tq, nq)
 				for p0 := 0; p0 < np; p0 += tp {
-					p1 := p0 + tp
-					if p1 > np {
-						p1 = np
-					}
-					widen(pflat[p0*dim:p1*dim], wp[:(p1-p0)*dim])
-					euclidDiffTile(wq[:(q1-q0)*dim], wp[:(p1-p0)*dim], dim, q1-q0, p1-p0, out[:(q1-q0)*(p1-p0)])
+					p1 := min(p0+tp, np)
+					k.Tile(qflat[q0*dim:q1*dim], nil, pflat[p0*dim:p1*dim], nil, dim, out[:(q1-q0)*(p1-p0)], ts)
 				}
 			}
 			if ns := time.Since(start).Nanoseconds(); ns < minNS {

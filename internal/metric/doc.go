@@ -22,7 +22,12 @@
 // Four kernel grades exist, trading reproducibility for throughput:
 //
 //   - exact: bit-reproducible float64 diff-square accumulation. The
-//     reference grade; all reported distances come from here.
+//     reference grade; all reported distances come from here. Multi-query
+//     Euclidean tiles run an AVX2 register-blocked body on amd64 (two
+//     queries × four point rows per pass, float32 read in place and
+//     widened exactly, 4-lane float64 sums that equal the reference's
+//     s0..s3, no FMA); other hosts take the portable widen + diff tile.
+//     Single-query rows stay on the Go reference.
 //   - Gram-fast: float64 Gram decomposition ‖q‖²+‖p‖²−2q·p over cached
 //     norms; drifts from exact by at most GramOrderingSlack, so consumers
 //     can bracket its orderings and make prune decisions that provably

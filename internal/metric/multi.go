@@ -32,8 +32,15 @@ import (
 //   - NewKernel (exact): per-pair arithmetic is bit-identical to the
 //     single-query Batch/OrderingBatch path, so results are reproducible
 //     against the per-query reference down to the last bit, including ties.
-//     Euclidean uses a cache-blocked difference kernel over pre-widened
-//     float64 tiles (widening is exact, so bits are unchanged).
+//     Euclidean tiles (two or more queries, dim >= 4) run an AVX2
+//     register-blocked body on amd64: two queries × four point rows per
+//     pass, the float32 rows read in place and widened exactly by
+//     VCVTPS2PD, four float64 lanes per pair that equal the reference's
+//     s0..s3, no FMA; the tail and the lane sum finish in Go in the
+//     reference order. Elsewhere a portable difference kernel over
+//     pre-widened float64 tiles runs the same arithmetic. Single-query
+//     rows stay on the Go reference, which the tests check both tile
+//     paths against bit for bit.
 //   - NewFastKernel (Gram-fast): float64 throughout, but Euclidean uses
 //     the Gram decomposition ‖q−x‖² = ‖q‖² + ‖x‖² − 2·q·x over precomputed
 //     squared norms, which reassociates the summation: results can differ
@@ -432,15 +439,21 @@ func (k *Kernel) Tile(qflat []float32, qn []float64, pflat []float32, pn []float
 		widen(pflat, ts.wp)
 		euclidGramTile(ts.wq, qn, ts.wp, pn, dim, nq, np, out)
 	case k.euclid:
-		// The diff tile is bit-identical to the row path for any shape, so
-		// the cutover is purely a performance choice: even two rows amortize
-		// the one-time float64 widening of the point block (the row path
-		// re-converts both operands for every pair).
+		// Both tile bodies are bit-identical to the row path for any
+		// shape, so the cutover is purely a performance choice: even two
+		// rows share point loads (AVX2 body) or amortize the one-time
+		// float64 widening of the point block (portable body).
 		if nq < 2 {
 			e := Euclidean{}
 			for i := 0; i < nq; i++ {
 				e.OrderingDistances(qflat[i*dim:(i+1)*dim], pflat, dim, out[i*np:(i+1)*np])
 			}
+			return
+		}
+		if useExactAsm && dim >= 4 {
+			// AVX2 register-blocked body: reads the float32 rows in place,
+			// so no widening pass and no scratch.
+			euclidExactTile(qflat, pflat, dim, nq, np, out)
 			return
 		}
 		if ts == nil {
@@ -651,4 +664,54 @@ func euclidDiffTile(qw, pw []float64, dim, nq, np int, out []float64) {
 			orow[j] = s0 + s1 + s2 + s3
 		}
 	}
+}
+
+// euclidExactTile is the register-blocked exact-grade tile:
+// exactBody2x4Asm computes the four lane sums s0..s3 of
+// Euclidean.OrderingDistances for two queries against four point rows at
+// a time over the first dim&^3 coordinates; exactFinish then adds the
+// tail onto lane 0 and sums the lanes in the reference order, so every
+// pair is bit-identical to the per-query reference. An odd last query
+// runs as both rows of the pass (its second copy is discarded), and
+// leftover point columns (np mod 4) run the reference row. Requires
+// useExactAsm and dim >= 4.
+func euclidExactTile(qflat, pflat []float32, dim, nq, np int, out []float64) {
+	nb := dim &^ 3
+	var lanes [2][4][4]float64
+	for i := 0; i < nq; i += 2 {
+		i1 := i + 1
+		if i1 == nq {
+			i1 = i
+		}
+		q0 := qflat[i*dim : (i+1)*dim]
+		q1 := qflat[i1*dim : (i1+1)*dim]
+		o0 := out[i*np : (i+1)*np]
+		o1 := out[i1*np : (i1+1)*np]
+		j := 0
+		for ; j+4 <= np; j += 4 {
+			p := pflat[j*dim : (j+4)*dim]
+			exactBody2x4Asm(&q0[0], &q1[0], &p[0], &p[dim], &p[2*dim], &p[3*dim], nb, &lanes)
+			for t := 0; t < 4; t++ {
+				row := p[t*dim : (t+1)*dim]
+				o0[j+t] = exactFinish(q0, row, nb, &lanes[0][t])
+				o1[j+t] = exactFinish(q1, row, nb, &lanes[1][t])
+			}
+		}
+		if j < np {
+			Euclidean{}.OrderingDistances(q0, pflat[j*dim:], dim, o0[j:])
+			Euclidean{}.OrderingDistances(q1, pflat[j*dim:], dim, o1[j:])
+		}
+	}
+}
+
+// exactFinish completes one pair from its body lanes: the coordinates
+// from nb on accumulate onto lane 0, then the lanes sum as
+// s0 + s1 + s2 + s3 — the tail and reduction of the scalar reference.
+func exactFinish(q, row []float32, nb int, s *[4]float64) float64 {
+	s0 := s[0]
+	for d := nb; d < len(q); d++ {
+		e := float64(q[d]) - float64(row[d])
+		s0 += e * e
+	}
+	return s0 + s[1] + s[2] + s[3]
 }

@@ -97,20 +97,24 @@ func TreeReduce[T any](xs []T, combine func(a, b T) T) T {
 	if len(xs) == 0 {
 		return zero
 	}
-	// Work on a copy so callers keep their slice.
-	buf := make([]T, len(xs))
-	copy(buf, xs)
-	for len(buf) > 1 {
-		half := (len(buf) + 1) / 2
-		ForEach(len(buf)/2, treeReduceGrain, func(i int) {
-			buf[i] = combine(buf[2*i], buf[2*i+1])
+	// Each level reads src and writes the other buffer: combining in
+	// place would let one block overwrite slots another block has not
+	// read yet. The first level reads the caller's slice, which is never
+	// written.
+	src := xs
+	next, other := make([]T, (len(xs)+1)/2), make([]T, (len(xs)+3)/4)
+	for len(src) > 1 {
+		half := (len(src) + 1) / 2
+		out := next[:half]
+		ForEach(len(src)/2, treeReduceGrain, func(i int) {
+			out[i] = combine(src[2*i], src[2*i+1])
 		})
-		if len(buf)%2 == 1 {
-			buf[half-1] = buf[len(buf)-1]
+		if len(src)%2 == 1 {
+			out[half-1] = src[len(src)-1]
 		}
-		buf = buf[:half]
+		src, next, other = out, other, next
 	}
-	return buf[0]
+	return src[0]
 }
 
 // ArgMin returns the index and value of the smallest element of dists,
